@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "src/core/estimator.h"
 #include "src/obs/flight_recorder.h"
@@ -23,15 +24,6 @@ namespace {
 double SpanOverlap(double s1, double e1, double s2, double e2) {
   return std::max(0.0, std::min(e1, e2) - std::max(s1, s2));
 }
-
-// One window's contribution geometry: query∩cover boundaries plus the
-// landmark-hollowed effective fractions of §5.1.
-struct Overlap {
-  Timestamp a;   // query∩cover start (inclusive)
-  Timestamp b;   // query∩cover end (exclusive)
-  double frac;   // t_eff / T_eff in [0, 1]
-  bool full;     // the query fully covers the window's (hollowed) span
-};
 
 Overlap ComputeOverlap(const Stream& stream, const Stream::WindowView& view, Timestamp t1,
                        Timestamp t2) {
@@ -78,69 +70,23 @@ Overlap ComputeOverlap(const Stream& stream, const Stream::WindowView& view, Tim
   return o;
 }
 
+// Adds one missing span to `d`. A fully covered span contributes all of its
+// lost elements. A partial overlap keeps its proportional share for the point
+// estimate, but the interval still brackets every possible placement
+// ([0, count]) — even at frac == 0, where the elements merely *probably*
+// aren't here.
+void AddMissing(Degradation& d, const Overlap& o, uint64_t count) {
+  d.any = true;
+  d.spans.emplace_back(o.a, o.b - 1);
+  d.total_count += count;
+  if (o.full) {
+    d.full_count += count;
+  }
+  d.expected += (o.full ? 1.0 : std::max(0.0, o.frac)) * static_cast<double>(count);
+}
+
 const CountSummary* GetCount(const SummaryWindow& window) {
   return SummaryCast<CountSummary>(window.Find(SummaryKind::kCount));
-}
-
-// One span of missing data inside the query range: a quarantined window
-// (view.window == nullptr) or the lost-element remnant a scrub repair folded
-// into a surviving window. The element count is known exactly from the
-// window index even though the data is gone; what's unknown is where inside
-// [a, b) those elements sit and what their values were.
-struct MissingPart {
-  Timestamp a;     // query∩span start (inclusive)
-  Timestamp b;     // query∩span end (exclusive)
-  uint64_t count;  // lost elements attributed to this span
-  double frac;     // estimated share of the span inside the query
-  bool full;       // the query covers the entire span: all `count` elements
-                   // are certainly inside the range (values still unknown)
-};
-
-std::vector<MissingPart> CollectMissing(const Stream& stream,
-                                        const std::vector<Stream::WindowView>& views,
-                                        Timestamp t1, Timestamp t2) {
-  std::vector<MissingPart> parts;
-  for (const auto& view : views) {
-    uint64_t count = view.window != nullptr ? view.window->lost_count() : view.missing_count;
-    if (count == 0) {
-      continue;
-    }
-    Overlap o = ComputeOverlap(stream, view, t1, t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    // A fully covered span contributes all of its lost elements. A partial
-    // overlap keeps its proportional share for the point estimate, but the
-    // interval still brackets every possible placement ([0, count]) below —
-    // even at frac == 0, where the elements merely *probably* aren't here.
-    double frac = o.full ? 1.0 : std::max(0.0, o.frac);
-    parts.push_back(MissingPart{o.a, o.b, count, frac, o.full});
-  }
-  return parts;
-}
-
-// Aggregate view of the missing parts, applied per-op as an interval-level
-// adjustment after the healthy-window answer is computed.
-struct Degradation {
-  bool any = false;
-  std::vector<std::pair<Timestamp, Timestamp>> spans;  // inclusive, per part
-  uint64_t full_count = 0;   // lost elements certainly inside the range
-  uint64_t total_count = 0;  // lost elements possibly inside the range
-  double expected = 0.0;     // Σ frac·count — maximum-likelihood occupancy
-};
-
-Degradation Degrade(const std::vector<MissingPart>& parts) {
-  Degradation d;
-  for (const MissingPart& p : parts) {
-    d.any = true;
-    d.spans.emplace_back(p.a, p.b - 1);
-    d.total_count += p.count;
-    if (p.full) {
-      d.full_count += p.count;
-    }
-    d.expected += p.frac * static_cast<double>(p.count);
-  }
-  return d;
 }
 
 // Whole-window frequency of `value` from whichever frequency operator the
@@ -167,144 +113,135 @@ std::optional<FreqEstimate> WindowFrequency(const SummaryWindow& window, double 
   return std::nullopt;
 }
 
-struct Accumulation {
-  double exact = 0.0;      // contributions with zero posterior variance
-  double mean = 0.0;       // estimated (partial-window) mean
-  double variance = 0.0;   // posterior variance of the estimated part
-  // Correlated sketch noise: every window's CMS shares one hash family (a
-  // union requirement, §3.1), so the same colliding values pollute value v
-  // in every window. Per-window sketch errors therefore add linearly in
-  // standard deviation, not in quadrature.
-  double sketch_std = 0.0;
-  int partials = 0;        // number of partially covered summarized windows
-  // Binomial shortcut bookkeeping (single-partial Poisson case, Thm B.2).
-  int64_t binom_n = 0;
-  double binom_p = 0.0;
-};
+// Count, sum, frequency and value-range count: in-range events and fully
+// covered windows add exactly; each partially covered window adds its
+// sub-window posterior (Appendix B) to the estimated part.
+class AdditiveFold final : public RangeFold {
+ public:
+  AdditiveFold(const Stream& stream, const QuerySpec& spec, QueryOp op)
+      : stream_(stream), spec_(spec), op_(op) {}
 
-// `floor_estimated_at_zero`: the estimated (partial-window) part of the
-// answer is a provably non-negative quantity — counts, frequencies, sums over
-// windows whose minima are >= 0 — so the interval's lower bound is floored at
-// the exact part (NormalInterval's floor_at_zero). Signed quantities (general
-// sums) must NOT pass it: clamping a genuinely negative lower bound would
-// push lo above the true value (the bug this replaces clamped every op at 0,
-// which even placed lo above the estimate for negative-valued sum queries).
-QueryResult FinishAdditive(const Accumulation& acc, const QuerySpec& spec, bool poisson,
-                           size_t windows_read, size_t landmark_events,
-                           bool floor_estimated_at_zero) {
-  QueryResult result;
-  result.confidence = spec.confidence;
-  result.windows_read = windows_read;
-  result.landmark_events = landmark_events;
-  result.estimate = acc.exact + acc.mean;
-  double total_variance = acc.variance + acc.sketch_std * acc.sketch_std;
-  result.exact = acc.partials == 0 && total_variance == 0.0;
-  if (result.exact) {
-    result.ci_lo = result.ci_hi = result.estimate;
-    return result;
+  void Add(const Event& event) override {
+    if (op_ == QueryOp::kSum) {
+      exact_ += event.value;
+    } else if (op_ == QueryOp::kCount ||
+               (op_ == QueryOp::kFrequency && event.value == spec_.value) ||
+               (op_ == QueryOp::kValueRangeCount && event.value >= spec_.value_lo &&
+                event.value < spec_.value_hi)) {
+      exact_ += 1.0;
+    }
   }
-  Interval interval;
-  if (poisson && acc.partials == 1 && acc.binom_n > 0) {
-    // Binom(n, p) quantiles are already >= 0, so lo >= exact holds by
-    // construction here (counts are the only op on this path).
-    interval = BinomialInterval(acc.exact, acc.binom_n, acc.binom_p, spec.confidence);
-  } else {
-    interval = NormalInterval(acc.exact, acc.mean, total_variance, spec.confidence,
-                              floor_estimated_at_zero);
-  }
-  result.ci_lo = interval.lo;
-  result.ci_hi = std::max(interval.lo, interval.hi);
-  return result;
-}
 
-StatusOr<QueryResult> RunCountOrSum(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  const bool is_sum = spec.op == QueryOp::kSum;
-  const bool poisson = stream.config().arrival_model == ArrivalModel::kPoisson;
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  Accumulation acc;
-  // Sums keep the exact-part floor only when every partially covered window
-  // is provably non-negative (its MinMax minimum >= 0); counts always do.
-  bool sum_floor = true;
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: folded into the interval below
-    }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      // Raw events are exact: filter by the query bounds themselves (an
-      // event may share its timestamp with the next window's cover start,
-      // which the half-open cover span would wrongly exclude).
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2) {
-          acc.exact += is_sum ? event.value : 1.0;
-        }
-      }
-      continue;
-    }
+  Status Merge(const SummaryWindow& window, const Overlap& o) override {
     const CountSummary* count = GetCount(window);
-    if (count == nullptr) {
-      return Status::FailedPrecondition("stream has no count operator");
-    }
-    double window_count = static_cast<double>(count->count());
-    double window_value;
-    if (is_sum) {
-      const auto* sum = SummaryCast<SumSummary>(window.Find(SummaryKind::kSum));
-      if (sum == nullptr) {
-        return Status::FailedPrecondition("stream has no sum operator");
+    const double window_count = count != nullptr ? static_cast<double>(count->count()) : 0.0;
+    double whole;             // the window's answer when fully covered
+    double sketch_std = 0.0;  // that answer's own sketch noise
+    if (op_ == QueryOp::kFrequency) {
+      std::optional<FreqEstimate> freq = WindowFrequency(window, spec_.value);
+      if (!freq.has_value()) {
+        return Status::FailedPrecondition(
+            "stream has no frequency operator (CMS/counting Bloom)");
       }
-      window_value = sum->sum();
+      whole = freq->freq;
+      sketch_std = std::sqrt(freq->sketch_variance);
+    } else if (op_ == QueryOp::kValueRangeCount) {
+      const auto* hist = SummaryCast<Histogram>(window.Find(SummaryKind::kHistogram));
+      if (hist == nullptr) {
+        return Status::FailedPrecondition("stream has no histogram operator");
+      }
+      // Whole-window selection count from the histogram (bucket
+      // interpolation is the operator's inherent approximation), then the
+      // usual time-proportional share with the count posterior's spread.
+      whole = hist->EstimateRangeCount(spec_.value_lo, spec_.value_hi);
     } else {
-      window_value = window_count;
+      if (count == nullptr) {
+        return Status::FailedPrecondition("stream has no count operator");
+      }
+      whole = window_count;
+      if (op_ == QueryOp::kSum) {
+        const auto* sum = SummaryCast<SumSummary>(window.Find(SummaryKind::kSum));
+        if (sum == nullptr) {
+          return Status::FailedPrecondition("stream has no sum operator");
+        }
+        whole = sum->sum();
+      }
     }
     if (o.full) {
-      acc.exact += window_value;
-      continue;
+      exact_ += whole;
+      sketch_std_ += sketch_std;
+      return Status::Ok();
     }
-    MeanVar est = is_sum ? EstimateSubWindowSum(window_value, window_count, o.frac,
-                                                stream.stats(), stream.config().arrival_model)
-                         : EstimateSubWindowCount(window_value, o.frac, stream.stats(),
-                                                  stream.config().arrival_model);
-    acc.mean += est.mean;
-    acc.variance += est.variance;
-    ++acc.partials;
-    if (is_sum) {
+    const ArrivalModel model = stream_.config().arrival_model;
+    MeanVar est;
+    if (op_ == QueryOp::kSum) {
+      est = EstimateSubWindowSum(whole, window_count, o.frac, stream_.stats(), model);
+    } else if (op_ == QueryOp::kFrequency) {
+      MeanVar count_est = EstimateSubWindowCount(window_count, o.frac, stream_.stats(), model);
+      est = EstimateSubWindowFrequency(window_count, whole, o.frac, count_est.variance);
+    } else {
+      est = EstimateSubWindowCount(whole, o.frac, stream_.stats(), model);
+    }
+    mean_ += est.mean;
+    variance_ += est.variance;
+    sketch_std_ += sketch_std * o.frac;
+    ++partials_;
+    if (op_ == QueryOp::kSum) {
       const auto* minmax = SummaryCast<MinMaxSummary>(window.Find(SummaryKind::kMinMax));
       if (minmax == nullptr || minmax->empty() || minmax->min() < 0) {
-        sum_floor = false;
+        sum_floor_ = false;
       }
+    } else if (op_ == QueryOp::kCount) {
+      binom_n_ = count->count() <= static_cast<uint64_t>(INT64_MAX)
+                     ? static_cast<int64_t>(count->count())
+                     : 0;
+      binom_p_ = o.frac;
     }
-    if (!is_sum) {
-      acc.binom_n = count->count() <= static_cast<uint64_t>(INT64_MAX)
-                        ? static_cast<int64_t>(count->count())
-                        : 0;
-      acc.binom_p = o.frac;
+    return Status::Ok();
+  }
+
+  StatusOr<QueryResult> Finish(const Degradation& d) override {
+    QueryResult result;
+    result.estimate = exact_ + mean_;
+    double total_variance = variance_ + sketch_std_ * sketch_std_;
+    result.exact = partials_ == 0 && total_variance == 0.0;
+    if (result.exact) {
+      result.ci_lo = result.ci_hi = result.estimate;
+    } else {
+      Interval interval;
+      if (op_ == QueryOp::kCount && stream_.config().arrival_model == ArrivalModel::kPoisson &&
+          partials_ == 1 && binom_n_ > 0) {
+        // Binom(n, p) quantiles are already >= 0, so lo >= exact holds by
+        // construction here.
+        interval = BinomialInterval(exact_, binom_n_, binom_p_, spec_.confidence);
+      } else {
+        // When the estimated (partial-window) part is provably non-negative
+        // — counts, frequencies, sums over windows whose minima are >= 0 —
+        // the lower bound is floored at the exact part. Signed sums must not
+        // be: clamping a genuinely negative lower bound would push lo above
+        // the true value.
+        interval = NormalInterval(exact_, mean_, total_variance, spec_.confidence,
+                                  /*floor_at_zero=*/op_ != QueryOp::kSum || sum_floor_);
+      }
+      result.ci_lo = interval.lo;
+      result.ci_hi = std::max(interval.lo, interval.hi);
     }
-  }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  for (const Event& event : lm_events) {
-    acc.exact += is_sum ? event.value : 1.0;
-  }
-  merge_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  QueryResult result = FinishAdditive(acc, spec, poisson && !is_sum, views.size(),
-                                      lm_events.size(),
-                                      /*floor_estimated_at_zero=*/!is_sum || sum_floor);
-  ci_span.End();
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  if (d.any) {
-    result.degraded = true;
-    result.skipped_spans = std::move(d.spans);
-    if (is_sum) {
+    if (!d.any) {
+      return result;
+    }
+    if (op_ == QueryOp::kCount) {
+      // The lost element *count* is exact from the window index: elements in
+      // fully covered spans are certainly in range; the rest lie in [0, n].
+      result.estimate += d.expected;
+      result.ci_lo += static_cast<double>(d.full_count);
+      result.ci_hi += static_cast<double>(d.total_count);
+      if (d.full_count != d.total_count) {
+        result.exact = false;
+      }
+    } else if (op_ == QueryOp::kSum) {
       // A lost element's value is only known to lie inside the stream's
       // observed extremes; without them no sound bound exists.
-      auto bounds = stream.value_bounds();
+      auto bounds = stream_.value_bounds();
       if (!bounds.has_value()) {
         return Status::Corruption(
             "degraded sum: stream has no recorded value bounds to price the lost elements");
@@ -314,778 +251,582 @@ StatusOr<QueryResult> RunCountOrSum(Stream& stream, const QuerySpec& spec, Query
       double full = static_cast<double>(d.full_count);
       result.ci_lo += full * vmin + static_cast<double>(partial) * std::min(0.0, vmin);
       result.ci_hi += full * vmax + static_cast<double>(partial) * std::max(0.0, vmax);
-      result.estimate += d.expected * stream.stats().MeanValue();
+      result.estimate += d.expected * stream_.stats().MeanValue();
       result.exact = false;
     } else {
-      // The lost element *count* is exact from the window index: elements in
-      // fully covered spans are certainly in range; the rest lie in [0, n].
-      result.estimate += d.expected;
-      result.ci_lo += static_cast<double>(d.full_count);
+      // Any subset of the lost elements could equal `value` (or fall inside
+      // [value_lo, value_hi)): [0, n] more occurrences, none certain.
       result.ci_hi += static_cast<double>(d.total_count);
-      if (d.full_count != d.total_count) {
-        result.exact = false;
-      }
+      result.exact = false;
     }
+    return result;
   }
-  return result;
-}
 
-StatusOr<QueryResult> RunMinMax(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  const bool is_min = spec.op == QueryOp::kMin;
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  QueryResult result;
-  result.confidence = spec.confidence;
-  result.windows_read = views.size();
-  bool found = false;
-  double best = 0.0;
-  // Best value *witnessed inside the query range* (raw events, landmark
-  // events, fully covered windows). The conservative whole-window bound and
-  // the witness bracket the true range-restricted extremum from both sides.
-  bool witnessed = false;
-  double witness = 0.0;
-  auto consider = [&](double v) {
-    best = found ? (is_min ? std::min(best, v) : std::max(best, v)) : v;
-    found = true;
-  };
-  auto consider_witness = [&](double v) {
-    witness = witnessed ? (is_min ? std::min(witness, v) : std::max(witness, v)) : v;
-    witnessed = true;
-  };
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: handled after the landmark pass
+ private:
+  const Stream& stream_;
+  const QuerySpec& spec_;
+  const QueryOp op_;
+  double exact_ = 0.0;     // contributions with zero posterior variance
+  double mean_ = 0.0;      // estimated (partial-window) mean
+  double variance_ = 0.0;  // posterior variance of the estimated part
+  // Correlated sketch noise: every window's CMS shares one hash family (a
+  // union requirement, §3.1), so the same colliding values pollute value v
+  // in every window. Per-window sketch errors therefore add linearly in
+  // standard deviation, not in quadrature.
+  double sketch_std_ = 0.0;
+  int partials_ = 0;  // partially covered summarized windows
+  // Binomial shortcut bookkeeping (single-partial Poisson count, Thm B.2).
+  int64_t binom_n_ = 0;
+  double binom_p_ = 0.0;
+  // Sums keep the exact-part floor only while every partially covered
+  // window is provably non-negative (its MinMax minimum >= 0).
+  bool sum_floor_ = true;
+};
+
+// Mean: the count and sum folds ride the same walk.
+class MeanFold final : public RangeFold {
+ public:
+  MeanFold(const Stream& stream, const QuerySpec& spec)
+      : count_(stream, spec, QueryOp::kCount), sum_(stream, spec, QueryOp::kSum) {}
+
+  void Add(const Event& event) override {
+    count_.Add(event);
+    sum_.Add(event);
+  }
+
+  Status Merge(const SummaryWindow& window, const Overlap& o) override {
+    SS_RETURN_IF_ERROR(count_.Merge(window, o));
+    return sum_.Merge(window, o);
+  }
+
+  StatusOr<QueryResult> Finish(const Degradation& d) override {
+    SS_ASSIGN_OR_RETURN(QueryResult count, count_.Finish(d));
+    SS_ASSIGN_OR_RETURN(QueryResult sum, sum_.Finish(d));
+    if (count.estimate <= 0) {
+      return Status::NotFound("no data in query range");
     }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2) {
-          consider(event.value);
-          consider_witness(event.value);
-        }
-      }
-      continue;
-    }
+    QueryResult result;
+    result.exact = count.exact && sum.exact;
+    result.estimate = sum.estimate / count.estimate;
+    // First-order (delta-method) propagation of the two interval half-widths.
+    double sum_hw = (sum.ci_hi - sum.ci_lo) / 2.0;
+    double count_hw = (count.ci_hi - count.ci_lo) / 2.0;
+    double rel = std::sqrt(std::pow(sum_hw / std::max(1e-12, std::abs(sum.estimate)), 2) +
+                           std::pow(count_hw / count.estimate, 2));
+    double hw = std::abs(result.estimate) * rel;
+    result.ci_lo = result.estimate - hw;
+    result.ci_hi = result.estimate + hw;
+    return result;
+  }
+
+ private:
+  AdditiveFold count_;
+  AdditiveFold sum_;
+};
+
+// Min/max: `bound_` takes every window's extreme (conservative), `witness_`
+// only values certainly inside the range (events, fully covered windows).
+// Together they bracket the true range-restricted extremum.
+class ExtremumFold final : public RangeFold {
+ public:
+  ExtremumFold(const Stream& stream, const QuerySpec& spec)
+      : stream_(stream), is_min_(spec.op == QueryOp::kMin) {}
+
+  void Add(const Event& event) override {
+    Keep(bound_, event.value, is_min_);
+    Keep(witness_, event.value, is_min_);
+  }
+
+  Status Merge(const SummaryWindow& window, const Overlap& o) override {
     const auto* minmax = SummaryCast<MinMaxSummary>(window.Find(SummaryKind::kMinMax));
     if (minmax == nullptr) {
       return Status::FailedPrecondition("stream has no minmax operator");
     }
-    if (!minmax->empty()) {
-      // Partial windows cannot localize the extremum; include the whole
-      // window's bound (conservative) and mark the answer inexact.
-      consider(is_min ? minmax->min() : minmax->max());
-      if (o.full) {
-        consider_witness(is_min ? minmax->min() : minmax->max());
-      } else {
-        result.exact = false;
-      }
+    if (minmax->empty()) {
+      return Status::Ok();
     }
-  }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  result.landmark_events = lm_events.size();
-  for (const Event& event : lm_events) {
-    consider(event.value);
-    consider_witness(event.value);
-  }
-  merge_span.End();
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  degrade_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  std::optional<std::pair<double, double>> bounds;
-  if (d.any) {
-    // A lost element might have been the extremum: the stream-wide value
-    // bound joins the bracket, and the answer can no longer be exact.
-    bounds = stream.value_bounds();
-    if (!bounds.has_value()) {
-      return Status::Corruption(
-          "degraded min/max: stream has no recorded value bounds to price the lost elements");
-    }
-    consider(is_min ? bounds->first : bounds->second);
-    result.exact = false;
-  }
-  if (!found) {
-    return Status::NotFound("no data in query range");
-  }
-  result.estimate = best;
-  if (result.exact) {
-    result.ci_lo = result.ci_hi = best;
-  } else if (is_min) {
-    // True min lies between the conservative bound and the best value known
-    // to occur in range (min: [bound, witness]; max: mirrored below).
-    result.ci_lo = best;
-    result.ci_hi = witnessed ? witness : best;
-  } else {
-    result.ci_hi = best;
-    result.ci_lo = witnessed ? witness : best;
-  }
-  if (d.any) {
-    result.degraded = true;
-    result.skipped_spans = std::move(d.spans);
-    if (!witnessed) {
-      // Nothing is known to be inside the range, so the true extremum (if
-      // any element exists) can sit anywhere within the stream bounds.
-      (is_min ? result.ci_hi : result.ci_lo) = is_min ? bounds->second : bounds->first;
-    }
-  }
-  return result;
-}
-
-StatusOr<QueryResult> RunFrequency(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  Accumulation acc;
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: folded into the interval below
-    }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2 && event.value == spec.value) {
-          acc.exact += 1.0;
-        }
-      }
-      continue;
-    }
-    std::optional<FreqEstimate> freq = WindowFrequency(window, spec.value);
-    if (!freq.has_value()) {
-      return Status::FailedPrecondition("stream has no frequency operator (CMS/counting Bloom)");
-    }
+    // Partial windows cannot localize the extremum; include the whole
+    // window's bound (conservative) and mark the answer inexact. Their
+    // in-range events still lie inside [min, max], so the opposite extreme
+    // bounds the truth from the far side.
+    Keep(bound_, is_min_ ? minmax->min() : minmax->max(), is_min_);
     if (o.full) {
-      acc.exact += freq->freq;
-      acc.sketch_std += std::sqrt(freq->sketch_variance);  // correlated across windows
-      continue;
+      Keep(witness_, is_min_ ? minmax->min() : minmax->max(), is_min_);
+    } else {
+      Keep(opposite_, is_min_ ? minmax->max() : minmax->min(), !is_min_);
     }
-    const CountSummary* count = GetCount(window);
-    double window_count = count != nullptr ? static_cast<double>(count->count()) : 0.0;
-    MeanVar count_est = EstimateSubWindowCount(window_count, o.frac, stream.stats(),
-                                               stream.config().arrival_model);
-    MeanVar est =
-        EstimateSubWindowFrequency(window_count, freq->freq, o.frac, count_est.variance);
-    acc.mean += est.mean;
-    acc.variance += est.variance;
-    acc.sketch_std += std::sqrt(freq->sketch_variance) * o.frac;
-    ++acc.partials;
+    return Status::Ok();
   }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  for (const Event& event : lm_events) {
-    if (event.value == spec.value) {
-      acc.exact += 1.0;
-    }
-  }
-  merge_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  // Frequencies are counts of occurrences: the estimated part is >= 0.
-  QueryResult result = FinishAdditive(acc, spec, /*poisson=*/false, views.size(),
-                                      lm_events.size(),
-                                      /*floor_estimated_at_zero=*/true);
-  ci_span.End();
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  if (d.any) {
-    // Any subset of the lost elements could equal `value`: [0, n] more
-    // occurrences are possible; none are certain.
-    result.degraded = true;
-    result.skipped_spans = std::move(d.spans);
-    result.ci_hi += static_cast<double>(d.total_count);
-    result.exact = false;
-  }
-  return result;
-}
 
-StatusOr<QueryResult> RunExistence(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  QueryResult result;
-  result.confidence = spec.confidence;
-  result.windows_read = views.size();
-
-  // Combine per-window presence probabilities: p = 1 − Π(1 − p_i). The CI
-  // brackets the unknown whole-window occurrence count V between 1 and the
-  // window count C (Bloom alone cannot localize, §7.2.2); a frequency
-  // operator, when configured, pins the estimate.
-  double log_not_present = 0.0;      // Σ log(1 − p̂_i)
-  double log_not_present_lo = 0.0;   // with V = 1        (lower bracket)
-  double log_not_present_hi = 0.0;   // with V = C        (upper bracket)
-  bool certain_hit = false;
-  bool any_estimate = false;
-
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: widens the interval below
-    }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2 && event.value == spec.value) {
-          certain_hit = true;
-        }
+  StatusOr<QueryResult> Finish(const Degradation& d) override {
+    QueryResult result;
+    result.exact = !opposite_.has_value();  // no partially covered window
+    std::optional<std::pair<double, double>> bounds;
+    if (d.any) {
+      // A lost element might have been the extremum: the stream-wide value
+      // bound joins the bracket, and the answer can no longer be exact.
+      bounds = stream_.value_bounds();
+      if (!bounds.has_value()) {
+        return Status::Corruption(
+            "degraded min/max: stream has no recorded value bounds to price the lost elements");
       }
-      continue;
+      Keep(bound_, is_min_ ? bounds->first : bounds->second, is_min_);
+      result.exact = false;
     }
+    if (!bound_.has_value()) {
+      return Status::NotFound("no data in query range");
+    }
+    result.estimate = *bound_;
+    // The interval is [bound, far] for min (mirrored for max). The witness is
+    // the far end whenever there is one; the partial windows' opposite
+    // extreme is no bound then, since the witness may lie beyond it. With
+    // nothing witnessed, every in-range element sits in a partial window or
+    // in a lost span, and lost elements can sit anywhere within the stream
+    // bounds.
+    double far = *bound_;
+    if (!result.exact) {
+      if (witness_.has_value()) {
+        far = *witness_;
+      } else if (d.any) {
+        far = is_min_ ? bounds->second : bounds->first;
+      } else {
+        far = opposite_.value_or(*bound_);
+      }
+    }
+    result.ci_lo = is_min_ ? *bound_ : far;
+    result.ci_hi = is_min_ ? far : *bound_;
+    return result;
+  }
+
+ private:
+  // Keeps the smaller (or the larger) of `slot` and `v`.
+  static void Keep(std::optional<double>& slot, double v, bool smaller) {
+    slot = slot.has_value() ? (smaller ? std::min(*slot, v) : std::max(*slot, v)) : v;
+  }
+
+  const Stream& stream_;
+  const bool is_min_;
+  std::optional<double> bound_;
+  std::optional<double> witness_;
+  std::optional<double> opposite_;  // partial windows' far extreme
+};
+
+// Existence: combines per-window presence probabilities p = 1 − Π(1 − p_i).
+// The CI brackets the unknown whole-window occurrence count V between 1 and
+// the window count C (Bloom alone cannot localize, §7.2.2); a frequency
+// operator, when configured, pins the estimate.
+class ExistenceFold final : public RangeFold {
+ public:
+  explicit ExistenceFold(const QuerySpec& spec) : value_(spec.value) {}
+
+  void Add(const Event& event) override { certain_hit_ = certain_hit_ || event.value == value_; }
+
+  Status Merge(const SummaryWindow& window, const Overlap& o) override {
     const auto* bloom = SummaryCast<BloomFilter>(window.Find(SummaryKind::kBloom));
     const auto* cbf =
         SummaryCast<CountingBloomFilter>(window.Find(SummaryKind::kCountingBloom));
     bool might_contain;
     double fp_rate;
     if (bloom != nullptr) {
-      might_contain = bloom->MightContain(spec.value);
+      might_contain = bloom->MightContain(value_);
       fp_rate = bloom->FalsePositiveRate();
     } else if (cbf != nullptr) {
-      might_contain = cbf->MightContain(spec.value);
+      might_contain = cbf->MightContain(value_);
       fp_rate = 0.01;  // CBF sizing default; refined below by frequency
     } else {
       return Status::FailedPrecondition("stream has no membership operator (Bloom)");
     }
     if (!might_contain) {
-      continue;  // Bloom "false" is certain (§5.2)
+      return Status::Ok();  // Bloom "false" is certain (§5.2)
     }
     const CountSummary* count = GetCount(window);
-    double window_count =
-        count != nullptr ? static_cast<double>(count->count()) : 1.0;
+    double window_count = count != nullptr ? static_cast<double>(count->count()) : 1.0;
     // The frequency operator, when configured, pins the occurrence count; a
     // noise-corrected estimate of ~0 means the Bloom hit was almost surely a
     // false positive. Without one, bracket V in [1, C] (§7.2.2). When the
     // filter itself is trustworthy (low fill), its positive already implies
     // at least one occurrence, overriding a CMS under-correction.
-    std::optional<FreqEstimate> freq = WindowFrequency(window, spec.value);
+    std::optional<FreqEstimate> freq = WindowFrequency(window, value_);
     double v_hat = freq.has_value() ? freq->freq : std::max(1.0, window_count / 2.0);
     if (freq.has_value() && fp_rate < 0.1) {
       v_hat = std::max(v_hat, 1.0);
     }
-    double p_est = (1.0 - fp_rate) * MembershipProbability(o.frac, v_hat);
-    double p_lo = (1.0 - fp_rate) * MembershipProbability(o.frac, 1.0);
-    double p_hi = (1.0 - fp_rate) * MembershipProbability(o.frac, std::max(1.0, window_count));
-    log_not_present += std::log1p(-std::min(p_est, 1.0 - 1e-12));
-    log_not_present_lo += std::log1p(-std::min(p_lo, 1.0 - 1e-12));
-    log_not_present_hi += std::log1p(-std::min(p_hi, 1.0 - 1e-12));
-    any_estimate = true;
-  }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  result.landmark_events = lm_events.size();
-  for (const Event& event : lm_events) {
-    if (event.value == spec.value) {
-      certain_hit = true;
+    const double occurrences[3] = {v_hat, 1.0, std::max(1.0, window_count)};
+    for (int i = 0; i < 3; ++i) {
+      double p = (1.0 - fp_rate) * MembershipProbability(o.frac, occurrences[i]);
+      log_not_present_[i] += std::log1p(-std::min(p, 1.0 - 1e-12));
     }
+    any_estimate_ = true;
+    return Status::Ok();
   }
-  merge_span.End();
 
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  if (d.any) {
-    result.degraded = true;
-    result.skipped_spans = std::move(d.spans);
-  }
-  degrade_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  if (certain_hit) {
-    // A witnessed occurrence stays certain no matter what was lost.
-    result.estimate = 1.0;
-    result.bool_answer = true;
-    result.ci_lo = result.ci_hi = 1.0;
-    result.exact = true;
+  StatusOr<QueryResult> Finish(const Degradation& d) override {
+    QueryResult result;
+    if (certain_hit_) {
+      // A witnessed occurrence stays certain no matter what was lost.
+      result.estimate = 1.0;
+      result.bool_answer = true;
+      result.ci_lo = result.ci_hi = 1.0;
+      return result;
+    }
+    result.exact = !any_estimate_;
+    result.estimate = 1.0 - std::exp(log_not_present_[0]);
+    result.ci_lo = 1.0 - std::exp(log_not_present_[1]);
+    result.ci_hi = 1.0 - std::exp(log_not_present_[2]);
+    result.bool_answer = result.estimate >= 0.5;
+    if (d.any) {
+      // A lost element might have carried `value`: presence can no longer be
+      // ruled out, so the interval's upper end opens to 1.
+      result.ci_hi = 1.0;
+      result.exact = false;
+    }
     return result;
   }
-  result.exact = !any_estimate;
-  result.estimate = 1.0 - std::exp(log_not_present);
-  result.ci_lo = 1.0 - std::exp(log_not_present_lo);
-  result.ci_hi = 1.0 - std::exp(log_not_present_hi);
-  result.bool_answer = result.estimate >= 0.5;
-  if (d.any) {
-    // A lost element might have carried `value`: presence can no longer be
-    // ruled out, so the interval's upper end opens to 1.
-    result.ci_hi = 1.0;
-    result.exact = false;
-  }
-  return result;
-}
 
-StatusOr<QueryResult> RunDistinct(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  QueryResult result;
-  result.confidence = spec.confidence;
-  result.windows_read = views.size();
-  std::unique_ptr<HyperLogLog> merged;
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: widens the interval below
-    }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      if (merged == nullptr) {
-        merged = std::make_unique<HyperLogLog>(stream.config().operators.hll_precision);
-      }
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2) {
-          merged->AddHash(HashValue(event.value));
-        }
-      }
-      continue;
-    }
+ private:
+  const double value_;
+  // Σ log(1 − p_i) with V = v̂ (estimate), V = 1 (lower bracket) and V = C
+  // (upper bracket).
+  double log_not_present_[3] = {0.0, 0.0, 0.0};
+  bool certain_hit_ = false;
+  bool any_estimate_ = false;
+};
+
+// Distinct: one merged HyperLogLog over in-range events and whole windows.
+class DistinctFold final : public RangeFold {
+ public:
+  DistinctFold(const Stream& stream, const QuerySpec& spec)
+      : precision_(stream.config().operators.hll_precision), confidence_(spec.confidence) {}
+
+  // The merged sketch exists once any raw window overlaps the range, so such
+  // an answer is an HLL estimate even when none of its events is in range.
+  void RawWindow() override { Ensure(precision_); }
+
+  void Add(const Event& event) override {
+    Ensure(precision_);
+    merged_->AddHash(HashValue(event.value));
+  }
+
+  Status Merge(const SummaryWindow& window, const Overlap&) override {
     const auto* hll = SummaryCast<HyperLogLog>(window.Find(SummaryKind::kHyperLogLog));
     if (hll == nullptr) {
       return Status::FailedPrecondition("stream has no hyperloglog operator");
     }
-    if (merged == nullptr) {
-      merged = std::make_unique<HyperLogLog>(hll->precision());
-    }
-    SS_RETURN_IF_ERROR(merged->MergeFrom(*hll));
     // Summaries cannot restrict to a sub-window; partial windows contribute
-    // their full distinct set (upper-biased), so the answer is inexact.
-    if (!o.full) {
-      result.exact = false;
+    // their full distinct set (upper-biased).
+    Ensure(hll->precision());
+    return merged_->MergeFrom(*hll);
+  }
+
+  StatusOr<QueryResult> Finish(const Degradation& d) override {
+    QueryResult result;
+    if (merged_ == nullptr) {
+      if (d.any) {
+        // Only lost data overlaps the range: up to n distinct values possible.
+        result.ci_hi = static_cast<double>(d.total_count);
+        result.exact = false;
+      }
+      return result;
     }
-  }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  result.landmark_events = lm_events.size();
-  if (!lm_events.empty() && merged == nullptr) {
-    merged = std::make_unique<HyperLogLog>(stream.config().operators.hll_precision);
-  }
-  for (const Event& event : lm_events) {
-    merged->AddHash(HashValue(event.value));
-  }
-  merge_span.End();
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  degrade_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  if (merged == nullptr) {
-    result.estimate = 0.0;
-    result.ci_lo = result.ci_hi = 0.0;
+    result.estimate = merged_->EstimateCardinality();
+    // HLL standard error 1.04/sqrt(m); always an approximation.
+    result.exact = false;
+    double m = std::ldexp(1.0, static_cast<int>(merged_->precision()));
+    double rel = 1.04 / std::sqrt(m);
+    NormalDist dist(result.estimate, result.estimate * rel);
+    double alpha = (1.0 - confidence_) / 2.0;
+    result.ci_lo = std::max(0.0, dist.Quantile(alpha));
+    result.ci_hi = dist.Quantile(1.0 - alpha);
     if (d.any) {
-      // Only lost data overlaps the range: up to n distinct values possible.
-      result.degraded = true;
-      result.skipped_spans = std::move(d.spans);
-      result.ci_hi = static_cast<double>(d.total_count);
-      result.exact = false;
+      // Every lost element could have carried a previously unseen value.
+      result.ci_hi += static_cast<double>(d.total_count);
     }
     return result;
   }
-  result.estimate = merged->EstimateCardinality();
-  // HLL standard error 1.04/sqrt(m); always an approximation.
-  result.exact = false;
-  double m = std::ldexp(1.0, static_cast<int>(merged->precision()));
-  double rel = 1.04 / std::sqrt(m);
-  NormalDist dist(result.estimate, result.estimate * rel);
-  double alpha = (1.0 - spec.confidence) / 2.0;
-  result.ci_lo = std::max(0.0, dist.Quantile(alpha));
-  result.ci_hi = dist.Quantile(1.0 - alpha);
-  if (d.any) {
-    // Every lost element could have carried a previously unseen value.
-    result.degraded = true;
-    result.skipped_spans = std::move(d.spans);
-    result.ci_hi += static_cast<double>(d.total_count);
-  }
-  return result;
-}
 
-StatusOr<QueryResult> RunQuantile(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  QueryResult result;
-  result.confidence = spec.confidence;
-  result.windows_read = views.size();
-  result.exact = false;
-  std::unique_ptr<QuantileSketch> merged;
-  auto ensure = [&]() {
-    if (merged == nullptr) {
-      merged = std::make_unique<QuantileSketch>(stream.config().operators.quantile_k,
-                                                stream.config().seed ^ 0x9e3779b9);
+ private:
+  void Ensure(uint32_t precision) {
+    if (merged_ == nullptr) {
+      merged_ = std::make_unique<HyperLogLog>(precision);
     }
-  };
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: widens the rank interval below
-    }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      ensure();
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2) {
-          merged->Update(event.ts, event.value);
-        }
-      }
-      continue;
-    }
+  }
+
+  const uint32_t precision_;
+  const double confidence_;
+  std::unique_ptr<HyperLogLog> merged_;
+};
+
+// Quantile: one merged KLL sketch; the rank error (and, under degradation,
+// the lost elements' possible ranks) set the interval.
+class QuantileFold final : public RangeFold {
+ public:
+  QuantileFold(const Stream& stream, const QuerySpec& spec) : stream_(stream), spec_(spec) {}
+
+  void Add(const Event& event) override {
+    Ensure();
+    merged_->Update(event.ts, event.value);
+  }
+
+  Status Merge(const SummaryWindow& window, const Overlap&) override {
     const auto* sketch = SummaryCast<QuantileSketch>(window.Find(SummaryKind::kQuantile));
     if (sketch == nullptr) {
       return Status::FailedPrecondition("stream has no quantile operator");
     }
-    ensure();
-    SS_RETURN_IF_ERROR(merged->MergeFrom(*sketch));
+    Ensure();
+    return merged_->MergeFrom(*sketch);
   }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  result.landmark_events = lm_events.size();
-  if (!lm_events.empty()) {
-    ensure();
-  }
-  for (const Event& event : lm_events) {
-    merged->Update(event.ts, event.value);
-  }
-  if (merged == nullptr || merged->total_count() == 0) {
-    return Status::NotFound("no data in query range");
-  }
-  merge_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  double q = std::clamp(spec.quantile_q, 0.0, 1.0);
-  result.estimate = merged->EstimateQuantile(q);
-  double rank_err = 2.0 / static_cast<double>(stream.config().operators.quantile_k);
-  ci_span.End();
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  if (!d.any) {
-    result.ci_lo = merged->EstimateQuantile(std::max(0.0, q - rank_err));
-    result.ci_hi = merged->EstimateQuantile(std::min(1.0, q + rank_err));
+
+  StatusOr<QueryResult> Finish(const Degradation& d) override {
+    if (merged_ == nullptr || merged_->total_count() == 0) {
+      return Status::NotFound("no data in query range");
+    }
+    QueryResult result;
+    result.exact = false;
+    double q = std::clamp(spec_.quantile_q, 0.0, 1.0);
+    result.estimate = merged_->EstimateQuantile(q);
+    double rank_err = 2.0 / static_cast<double>(stream_.config().operators.quantile_k);
+    if (!d.any) {
+      result.ci_lo = merged_->EstimateQuantile(std::max(0.0, q - rank_err));
+      result.ci_hi = merged_->EstimateQuantile(std::min(1.0, q + rank_err));
+      return result;
+    }
+    // Up to n lost elements may belong to the range. The true q-quantile of
+    // the full population (T observed + up to M lost) sits at rank q·(T+M);
+    // among the observed values that rank shifts by at most M in either
+    // direction, depending on where the lost values fall. When the widened
+    // rank leaves [0, 1], the quantile escapes the observed sample entirely
+    // and only the stream-wide value bounds contain it.
+    double total = static_cast<double>(merged_->total_count());
+    double m_lost = static_cast<double>(d.total_count);
+    double q_hi = (q * (total + m_lost)) / total + rank_err;
+    double q_lo = (q * (total + m_lost) - m_lost) / total - rank_err;
+    auto bounds = stream_.value_bounds();
+    if ((q_lo < 0.0 || q_hi > 1.0) && !bounds.has_value()) {
+      return Status::Corruption(
+          "degraded quantile: stream has no recorded value bounds to price the lost elements");
+    }
+    result.ci_lo = q_lo < 0.0 ? bounds->first : merged_->EstimateQuantile(q_lo);
+    result.ci_hi = q_hi > 1.0 ? bounds->second : merged_->EstimateQuantile(q_hi);
+    result.estimate = std::clamp(result.estimate, result.ci_lo, result.ci_hi);
     return result;
   }
-  // Up to n lost elements may belong to the range. The true q-quantile of
-  // the full population (T observed + up to M lost) sits at rank q·(T+M);
-  // among the observed values that rank shifts by at most M in either
-  // direction, depending on where the lost values fall. When the widened
-  // rank leaves [0, 1], the quantile escapes the observed sample entirely
-  // and only the stream-wide value bounds contain it.
-  result.degraded = true;
-  result.skipped_spans = std::move(d.spans);
-  double total = static_cast<double>(merged->total_count());
-  double m_lost = static_cast<double>(d.total_count);
-  double q_hi = (q * (total + m_lost)) / total + rank_err;
-  double q_lo = (q * (total + m_lost) - m_lost) / total - rank_err;
-  auto bounds = stream.value_bounds();
-  if ((q_lo < 0.0 || q_hi > 1.0) && !bounds.has_value()) {
-    return Status::Corruption(
-        "degraded quantile: stream has no recorded value bounds to price the lost elements");
-  }
-  result.ci_lo = q_lo < 0.0 ? bounds->first : merged->EstimateQuantile(q_lo);
-  result.ci_hi = q_hi > 1.0 ? bounds->second : merged->EstimateQuantile(q_hi);
-  result.estimate = std::clamp(result.estimate, result.ci_lo, result.ci_hi);
-  return result;
-}
 
-StatusOr<QueryResult> RunValueRangeCount(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  if (!(spec.value_hi > spec.value_lo)) {
-    return Status::InvalidArgument("value range [value_lo, value_hi) is empty");
-  }
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  Accumulation acc;
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: folded into the interval below
-    }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2 && event.value >= spec.value_lo &&
-            event.value < spec.value_hi) {
-          acc.exact += 1.0;
-        }
-      }
-      continue;
-    }
-    const auto* hist = SummaryCast<Histogram>(window.Find(SummaryKind::kHistogram));
-    if (hist == nullptr) {
-      return Status::FailedPrecondition("stream has no histogram operator");
-    }
-    // Whole-window selection count from the histogram (bucket interpolation
-    // is the operator's inherent approximation), then the usual
-    // time-proportional share with the count posterior's spread.
-    double selected = hist->EstimateRangeCount(spec.value_lo, spec.value_hi);
-    if (o.full) {
-      acc.exact += selected;
-      continue;
-    }
-    MeanVar est =
-        EstimateSubWindowCount(selected, o.frac, stream.stats(), stream.config().arrival_model);
-    acc.mean += est.mean;
-    acc.variance += est.variance;
-    ++acc.partials;
-  }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  for (const Event& event : lm_events) {
-    if (event.value >= spec.value_lo && event.value < spec.value_hi) {
-      acc.exact += 1.0;
+ private:
+  void Ensure() {
+    if (merged_ == nullptr) {
+      merged_ = std::make_unique<QuantileSketch>(stream_.config().operators.quantile_k,
+                                                 stream_.config().seed ^ 0x9e3779b9);
     }
   }
-  merge_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  // Range-restricted counts: the estimated part is >= 0.
-  QueryResult result = FinishAdditive(acc, spec, /*poisson=*/false, views.size(),
-                                      lm_events.size(),
-                                      /*floor_estimated_at_zero=*/true);
-  ci_span.End();
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  if (d.any) {
-    // Any subset of the lost elements could fall inside [value_lo, value_hi).
-    result.degraded = true;
-    result.skipped_spans = std::move(d.spans);
-    result.ci_hi += static_cast<double>(d.total_count);
-    result.exact = false;
-  }
-  return result;
-}
 
-StatusOr<QueryResult> RunTopK(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  if (spec.top_k == 0) {
-    return Status::InvalidArgument("top_k must be positive");
+  const Stream& stream_;
+  const QuerySpec& spec_;
+  std::unique_ptr<QuantileSketch> merged_;
+};
+
+// Top-k: merged space-saving candidates with per-candidate brackets.
+class TopKFold final : public RangeFold {
+ public:
+  TopKFold(const Stream& stream, const QuerySpec& spec)
+      : ops_(stream.config().operators), top_k_(spec.top_k), cms_ok_(ops_.cms) {}
+
+  void Add(const Event& event) override {
+    Ensure();
+    merged_->Add(event.value);
+    if (cms_ != nullptr) {
+      cms_->Update(event.ts, event.value);
+    }
   }
-  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
-                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
-  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
-  QueryResult result;
-  result.confidence = spec.confidence;
-  result.windows_read = views.size();
-  const OperatorSet& ops = stream.config().operators;
-  std::unique_ptr<SpaceSavingSketch> merged;
-  // Optional bracket tightener: the merged CMS min-estimate is an independent
-  // upper bound on any value's occurrence count, and its noise-corrected
-  // estimate a better point answer than the space-saving count.
-  std::unique_ptr<CountMinSketch> cms;
-  bool cms_ok = ops.cms;
-  auto ensure = [&]() {
-    if (merged == nullptr) {
-      merged = std::make_unique<SpaceSavingSketch>(ops.spacesaving_capacity);
-    }
-    if (cms_ok && cms == nullptr) {
-      cms = std::make_unique<CountMinSketch>(ops.cms_width, ops.cms_depth);
-    }
-  };
-  // Partially covered windows contribute their whole-window candidates (the
-  // summary cannot restrict to a sub-window). Their counts stay in the upper
-  // bound, but each candidate's lower bound must shed everything those
-  // windows might have contributed outside the query range.
-  std::vector<const SpaceSavingSketch*> partial_sketches;
-  for (const auto& view : views) {
-    if (view.window == nullptr) {
-      continue;  // quarantined span: widens the interval below
-    }
-    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
-    if (o.b <= o.a) {
-      continue;
-    }
-    const SummaryWindow& window = *view.window;
-    if (window.is_raw()) {
-      ensure();
-      for (const Event& event : window.raw()) {
-        if (event.ts >= spec.t1 && event.ts <= spec.t2) {
-          merged->Add(event.value);
-          if (cms != nullptr) {
-            cms->Update(event.ts, event.value);
-          }
-        }
-      }
-      continue;
-    }
+
+  Status Merge(const SummaryWindow& window, const Overlap& o) override {
     const auto* sketch = SummaryCast<SpaceSavingSketch>(window.Find(SummaryKind::kSpaceSaving));
     if (sketch == nullptr) {
       return Status::FailedPrecondition("stream has no spacesaving operator");
     }
-    ensure();
-    SS_RETURN_IF_ERROR(merged->MergeFrom(*sketch));
-    if (cms != nullptr) {
+    Ensure();
+    SS_RETURN_IF_ERROR(merged_->MergeFrom(*sketch));
+    if (cms_ != nullptr) {
       const auto* wcms = SummaryCast<CountMinSketch>(window.Find(SummaryKind::kCountMin));
       if (wcms != nullptr) {
-        SS_RETURN_IF_ERROR(cms->MergeFrom(*wcms));
+        SS_RETURN_IF_ERROR(cms_->MergeFrom(*wcms));
       } else {
-        cms.reset();  // mixed configuration: drop the tightener entirely
-        cms_ok = false;
+        cms_.reset();  // mixed configuration: drop the tightener entirely
+        cms_ok_ = false;
       }
     }
     if (!o.full) {
-      partial_sketches.push_back(sketch);
-      result.exact = false;
+      partial_sketches_.push_back(sketch);
     }
+    return Status::Ok();
   }
-  std::vector<Event> lm_events = stream.QueryLandmarks(spec.t1, spec.t2);
-  result.landmark_events = lm_events.size();
-  if (!lm_events.empty()) {
-    ensure();
-  }
-  for (const Event& event : lm_events) {
-    merged->Add(event.value);
-    if (cms != nullptr) {
-      cms->Update(event.ts, event.value);
+
+  StatusOr<QueryResult> Finish(const Degradation& d) override {
+    QueryResult result;
+    result.exact = partial_sketches_.empty();
+    if (merged_ == nullptr || merged_->total_count() == 0) {
+      if (d.any) {
+        // Only lost data overlaps the range: no candidate is known, but the
+        // lost elements could hide up to n occurrences of anything.
+        result.exact = false;
+        result.ci_hi = static_cast<double>(d.total_count);
+        return result;
+      }
+      return Status::NotFound("no data in query range");
     }
-  }
-  merge_span.End();
-  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
-  Degradation d = Degrade(CollectMissing(stream, views, spec.t1, spec.t2));
-  degrade_span.End();
-  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
-  if (merged == nullptr || merged->total_count() == 0) {
+    for (const SpaceSavingSketch::Candidate& cand : merged_->TopK(top_k_)) {
+      TopKEntry entry;
+      entry.value = cand.value;
+      double hi = static_cast<double>(cand.count);
+      double lo = static_cast<double>(cand.count - cand.error);
+      if (cms_ != nullptr) {
+        hi = std::min(hi, static_cast<double>(cms_->EstimateCount(cand.value)));
+      }
+      // Shed the partial windows' possible out-of-range contribution from the
+      // lower bound: within each such window the candidate occurred at most
+      // Bracket(v).count times, all of which might lie outside the range.
+      for (const SpaceSavingSketch* partial : partial_sketches_) {
+        lo -= static_cast<double>(partial->Bracket(cand.value).count);
+      }
+      lo = std::clamp(lo, 0.0, hi);
+      entry.estimate =
+          cms_ != nullptr ? std::clamp(cms_->EstimateCountCorrected(cand.value), lo, hi) : hi;
+      entry.ci_lo = lo;
+      // Any subset of the lost elements could also equal this value.
+      entry.ci_hi = hi + (d.any ? static_cast<double>(d.total_count) : 0.0);
+      if (cand.error != 0) {
+        result.exact = false;
+      }
+      result.topk.push_back(entry);
+    }
     if (d.any) {
-      // Only lost data overlaps the range: no candidate is known, but the
-      // lost elements could hide up to n occurrences of anything.
-      result.degraded = true;
-      result.skipped_spans = std::move(d.spans);
-      result.exact = false;
-      result.ci_hi = static_cast<double>(d.total_count);
-      return result;
-    }
-    return Status::NotFound("no data in query range");
-  }
-  for (const SpaceSavingSketch::Candidate& cand : merged->TopK(spec.top_k)) {
-    TopKEntry entry;
-    entry.value = cand.value;
-    double hi = static_cast<double>(cand.count);
-    double lo = static_cast<double>(cand.count - cand.error);
-    if (cms != nullptr) {
-      hi = std::min(hi, static_cast<double>(cms->EstimateCount(cand.value)));
-    }
-    // Shed the partial windows' possible out-of-range contribution from the
-    // lower bound: within each such window the candidate occurred at most
-    // Bracket(v).count times, all of which might lie outside the range.
-    for (const SpaceSavingSketch* partial : partial_sketches) {
-      lo -= static_cast<double>(partial->Bracket(cand.value).count);
-    }
-    lo = std::clamp(lo, 0.0, hi);
-    entry.estimate =
-        cms != nullptr ? std::clamp(cms->EstimateCountCorrected(cand.value), lo, hi) : hi;
-    entry.ci_lo = lo;
-    // Any subset of the lost elements could also equal this value.
-    entry.ci_hi = hi + (d.any ? static_cast<double>(d.total_count) : 0.0);
-    if (cand.error != 0) {
       result.exact = false;
     }
-    result.topk.push_back(entry);
+    if (!result.topk.empty()) {
+      // Headline answer: the strongest heavy hitter's frequency bracket.
+      result.estimate = result.topk.front().estimate;
+      result.ci_lo = result.topk.front().ci_lo;
+      result.ci_hi = result.topk.front().ci_hi;
+    }
+    return result;
   }
-  if (d.any) {
-    result.degraded = true;
-    result.skipped_spans = std::move(d.spans);
-    result.exact = false;
+
+ private:
+  void Ensure() {
+    if (merged_ == nullptr) {
+      merged_ = std::make_unique<SpaceSavingSketch>(ops_.spacesaving_capacity);
+    }
+    if (cms_ok_ && cms_ == nullptr) {
+      cms_ = std::make_unique<CountMinSketch>(ops_.cms_width, ops_.cms_depth);
+    }
   }
-  if (!result.topk.empty()) {
-    // Headline answer: the strongest heavy hitter's frequency bracket.
-    result.estimate = result.topk.front().estimate;
-    result.ci_lo = result.topk.front().ci_lo;
-    result.ci_hi = result.topk.front().ci_hi;
-  }
-  return result;
-}
 
-StatusOr<QueryResult> RunMean(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
-  // Mean genuinely walks the windows twice (count + sum); the trace, when
-  // enabled, accumulates both passes.
-  QuerySpec count_spec = spec;
-  count_spec.op = QueryOp::kCount;
-  QuerySpec sum_spec = spec;
-  sum_spec.op = QueryOp::kSum;
-  SS_ASSIGN_OR_RETURN(QueryResult count, RunCountOrSum(stream, count_spec, trace));
-  SS_ASSIGN_OR_RETURN(QueryResult sum, RunCountOrSum(stream, sum_spec, trace));
-  QueryResult result;
-  result.confidence = spec.confidence;
-  result.windows_read = count.windows_read;
-  result.landmark_events = count.landmark_events;
-  result.exact = count.exact && sum.exact;
-  result.degraded = count.degraded || sum.degraded;
-  result.skipped_spans =
-      count.skipped_spans.empty() ? std::move(sum.skipped_spans) : std::move(count.skipped_spans);
-  if (count.estimate <= 0) {
-    return Status::NotFound("no data in query range");
-  }
-  result.estimate = sum.estimate / count.estimate;
-  // First-order (delta-method) propagation of the two interval half-widths.
-  double sum_hw = (sum.ci_hi - sum.ci_lo) / 2.0;
-  double count_hw = (count.ci_hi - count.ci_lo) / 2.0;
-  double rel = std::sqrt(std::pow(sum_hw / std::max(1e-12, std::abs(sum.estimate)), 2) +
-                         std::pow(count_hw / count.estimate, 2));
-  double hw = std::abs(result.estimate) * rel;
-  result.ci_lo = result.estimate - hw;
-  result.ci_hi = result.estimate + hw;
-  return result;
-}
+  const OperatorSet& ops_;
+  const uint32_t top_k_;
+  std::unique_ptr<SpaceSavingSketch> merged_;
+  // Optional bracket tightener: the merged CMS min-estimate is an independent
+  // upper bound on any value's occurrence count, and its noise-corrected
+  // estimate a better point answer than the space-saving count.
+  std::unique_ptr<CountMinSketch> cms_;
+  bool cms_ok_;
+  // Partially covered windows contribute their whole-window candidates (the
+  // summary cannot restrict to a sub-window). Their counts stay in the upper
+  // bound, but each candidate's lower bound must shed everything those
+  // windows might have contributed outside the query range.
+  std::vector<const SpaceSavingSketch*> partial_sketches_;
+};
 
-}  // namespace
-
-const char* QueryOpName(QueryOp op) {
-  switch (op) {
-    case QueryOp::kCount:
-      return "count";
-    case QueryOp::kSum:
-      return "sum";
-    case QueryOp::kMean:
-      return "mean";
-    case QueryOp::kMin:
-      return "min";
-    case QueryOp::kMax:
-      return "max";
-    case QueryOp::kExistence:
-      return "existence";
-    case QueryOp::kFrequency:
-      return "frequency";
-    case QueryOp::kDistinct:
-      return "distinct";
-    case QueryOp::kQuantile:
-      return "quantile";
-    case QueryOp::kValueRangeCount:
-      return "value_range_count";
-    case QueryOp::kTopK:
-      return "topk";
-  }
-  return "unknown";
-}
-
-namespace {
-
-StatusOr<QueryResult> Dispatch(Stream& stream, const QuerySpec& spec, QueryTrace* trace) {
+std::unique_ptr<RangeFold> MakeFold(const Stream& stream, const QuerySpec& spec) {
   switch (spec.op) {
     case QueryOp::kCount:
     case QueryOp::kSum:
-      return RunCountOrSum(stream, spec, trace);
+    case QueryOp::kFrequency:
+    case QueryOp::kValueRangeCount:
+      return std::make_unique<AdditiveFold>(stream, spec, spec.op);
     case QueryOp::kMean:
-      return RunMean(stream, spec, trace);
+      return std::make_unique<MeanFold>(stream, spec);
     case QueryOp::kMin:
     case QueryOp::kMax:
-      return RunMinMax(stream, spec, trace);
+      return std::make_unique<ExtremumFold>(stream, spec);
     case QueryOp::kExistence:
-      return RunExistence(stream, spec, trace);
-    case QueryOp::kFrequency:
-      return RunFrequency(stream, spec, trace);
+      return std::make_unique<ExistenceFold>(spec);
     case QueryOp::kDistinct:
-      return RunDistinct(stream, spec, trace);
+      return std::make_unique<DistinctFold>(stream, spec);
     case QueryOp::kQuantile:
-      return RunQuantile(stream, spec, trace);
-    case QueryOp::kValueRangeCount:
-      return RunValueRangeCount(stream, spec, trace);
+      return std::make_unique<QuantileFold>(stream, spec);
     case QueryOp::kTopK:
-      return RunTopK(stream, spec, trace);
+      return std::make_unique<TopKFold>(stream, spec);
   }
-  return Status::InvalidArgument("unknown query operator");
+  return nullptr;
 }
 
 }  // namespace
+
+StatusOr<QueryResult> ScanRange(Stream& stream, const QuerySpec& spec, RangeFold& fold,
+                                QueryTrace* trace) {
+  SS_ASSIGN_OR_RETURN(std::vector<Stream::WindowView> views,
+                      stream.WindowsOverlapping(spec.t1, spec.t2, trace));
+  QueryPhaseSpan merge_span(QueryPhase::kSketchMerge, trace);
+  std::vector<std::pair<Overlap, uint64_t>> missing;
+  for (const Stream::WindowView& view : views) {
+    Overlap o = ComputeOverlap(stream, view, spec.t1, spec.t2);
+    if (o.b <= o.a) {
+      continue;
+    }
+    // A quarantined view (null window) is missing whole; a surviving window
+    // may carry a scrub-recorded remnant of lost elements.
+    uint64_t lost = view.window != nullptr ? view.window->lost_count() : view.missing_count;
+    if (lost > 0) {
+      missing.emplace_back(o, lost);
+    }
+    if (view.window == nullptr) {
+      continue;
+    }
+    const SummaryWindow& window = *view.window;
+    if (!window.is_raw()) {
+      SS_RETURN_IF_ERROR(fold.Merge(window, o));
+      continue;
+    }
+    fold.RawWindow();
+    for (const Event& event : window.raw()) {
+      // Raw events are exact: filter by the query bounds themselves (an
+      // event may share its timestamp with the next window's cover start,
+      // which the half-open cover span would wrongly exclude).
+      if (event.ts >= spec.t1 && event.ts <= spec.t2) {
+        fold.Add(event);
+      }
+    }
+  }
+  std::vector<Event> landmark_events = stream.QueryLandmarks(spec.t1, spec.t2);
+  for (const Event& event : landmark_events) {
+    fold.Add(event);
+  }
+  merge_span.End();
+
+  QueryPhaseSpan degrade_span(QueryPhase::kDegrade, trace);
+  Degradation d;
+  for (const auto& [o, lost] : missing) {
+    AddMissing(d, o, lost);
+  }
+  degrade_span.End();
+
+  QueryPhaseSpan ci_span(QueryPhase::kCiCombine, trace);
+  SS_ASSIGN_OR_RETURN(QueryResult result, fold.Finish(d));
+  result.confidence = spec.confidence;
+  result.windows_read = views.size();
+  result.landmark_events = landmark_events.size();
+  result.degraded = d.any;
+  result.skipped_spans = std::move(d.spans);
+  return result;
+}
+
+const char* QueryOpName(QueryOp op) {
+  static constexpr const char* kNames[] = {"count",    "sum",      "mean",      "min",
+                                           "max",      "existence", "frequency", "distinct",
+                                           "quantile", "value_range_count", "topk"};
+  static_assert(std::size(kNames) == static_cast<size_t>(QueryOp::kTopK) + 1);
+  size_t i = static_cast<size_t>(op);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
+}
 
 StatusOr<QueryResult> RunQuery(Stream& stream, const QuerySpec& spec) {
   static Counter& degraded_total =
@@ -1110,9 +851,19 @@ StatusOr<QueryResult> RunQuery(Stream& stream, const QuerySpec& spec) {
     return Status::Corruption("landmark window corrupt: " +
                               stream.landmark_status().ToString());
   }
+  if (spec.op == QueryOp::kValueRangeCount && !(spec.value_hi > spec.value_lo)) {
+    return Status::InvalidArgument("value range [value_lo, value_hi) is empty");
+  }
+  if (spec.op == QueryOp::kTopK && spec.top_k == 0) {
+    return Status::InvalidArgument("top_k must be positive");
+  }
+  std::unique_ptr<RangeFold> fold = MakeFold(stream, spec);
+  if (fold == nullptr) {
+    return Status::InvalidArgument("unknown query operator");
+  }
   plan_span.End();
   Stopwatch watch;
-  StatusOr<QueryResult> result = Dispatch(stream, spec, trace.get());
+  StatusOr<QueryResult> result = ScanRange(stream, spec, *fold, trace.get());
   if (!result.ok()) {
     return result;
   }

@@ -100,6 +100,59 @@ struct QueryResult {
 // stream is not configured with an operator able to answer `spec.op`.
 StatusOr<QueryResult> RunQuery(Stream& stream, const QuerySpec& spec);
 
+// --- the range walk -------------------------------------------------------
+// Every range answer is one pass over the windows overlapping [t1, t2]
+// (ScanRange) folded by one op (a RangeFold): in-range events and fully
+// covered windows count exactly, partially covered windows are estimated
+// from their Overlap, and spans whose data is gone widen the interval.
+
+// A summarized window's share of [t1, t2]: the query∩cover span plus the
+// landmark-hollowed effective fraction t_eff / T_eff of §5.1.
+struct Overlap {
+  Timestamp a;  // query∩cover start (inclusive)
+  Timestamp b;  // query∩cover end (exclusive)
+  double frac;  // t_eff / T_eff in [0, 1]
+  bool full;    // the query fully covers the window's (hollowed) span
+};
+
+// The spans of [t1, t2] whose data is missing: quarantined windows and the
+// lost-element remnants a scrub repair folded into surviving windows. Each
+// span's element count is known exactly from the window index; where inside
+// the span those elements sit, and what their values were, is not.
+struct Degradation {
+  bool any = false;
+  std::vector<std::pair<Timestamp, Timestamp>> spans;  // inclusive, per span
+  uint64_t full_count = 0;   // lost elements certainly inside the range
+  uint64_t total_count = 0;  // lost elements possibly inside the range
+  double expected = 0.0;     // Σ frac·count — maximum-likelihood occupancy
+};
+
+// One op's state over a range walk.
+class RangeFold {
+ public:
+  RangeFold() = default;
+  RangeFold(const RangeFold&) = delete;
+  RangeFold& operator=(const RangeFold&) = delete;
+  virtual ~RangeFold() = default;
+  // An event inside [t1, t2]; raw-window and landmark events alike.
+  virtual void Add(const Event& event) = 0;
+  // A summarized window that overlaps the range.
+  virtual Status Merge(const SummaryWindow& window, const Overlap& overlap) = 0;
+  // A raw window overlaps the range; its in-range events (maybe none) follow.
+  virtual void RawWindow() {}
+  // The answer, with `missing` folded into its interval.
+  virtual StatusOr<QueryResult> Finish(const Degradation& missing) = 0;
+};
+
+// Walks the windows overlapping [spec.t1, spec.t2] once, feeding `fold`,
+// then finishes it and fills the fields every op shares: confidence,
+// windows_read, landmark_events, degraded and skipped_spans. Quarantined
+// views reach the fold only through the Degradation. Phases are attributed
+// in one order: window_scan, sketch_merge (the walk), degrade, ci_combine
+// (the finish).
+StatusOr<QueryResult> ScanRange(Stream& stream, const QuerySpec& spec, RangeFold& fold,
+                                QueryTrace* trace = nullptr);
+
 }  // namespace ss
 
 #endif  // SUMMARYSTORE_SRC_CORE_QUERY_H_

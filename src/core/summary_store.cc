@@ -251,29 +251,33 @@ Status SummaryStore::EndLandmark(StreamId id, Timestamp ts) {
 }
 
 StatusOr<QueryResult> SummaryStore::Query(StreamId id, const QuerySpec& spec) {
+  std::shared_lock<std::shared_mutex> registry(registry_mu_);
+  SS_ASSIGN_OR_RETURN(Stream * stream, FindStreamLocked(id));
+  return QueryLocked(*stream, spec);
+}
+
+StatusOr<QueryResult> SummaryStore::QueryLocked(Stream& stream, const QuerySpec& spec) {
   static Counter& queries = MetricRegistry::Default().GetCounter("ss_core_query_total");
   static LatencyHistogram& query_us =
       MetricRegistry::Default().GetHistogram("ss_core_query_us");
   static LatencyHistogram& lock_wait_us = MetricRegistry::Default().GetHistogram(
       "ss_core_stream_lock_wait_us", "op=\"query\"");
-  std::shared_lock<std::shared_mutex> registry(registry_mu_);
-  SS_ASSIGN_OR_RETURN(Stream * stream, FindStreamLocked(id));
   queries.Inc();
   ScopedTimer timer(query_us);
   // Shared ownership for the whole query: concurrent queries overlap freely,
   // appends to this stream wait (and vice versa — see stream.h).
   Stopwatch wait;
-  std::shared_lock<std::shared_mutex> stream_lock(stream->mutex());
+  std::shared_lock<std::shared_mutex> stream_lock(stream.mutex());
   lock_wait_us.Record(static_cast<uint64_t>(wait.ElapsedMicros()));
   if (!spec.collect_trace) {
-    return RunQuery(*stream, spec);
+    return RunQuery(stream, spec);
   }
   // Explain mode: bracket the query with backend cache counters so the trace
   // reports the block-cache traffic this query caused. (Counters are global:
   // concurrent queries bleed into each other's deltas; explain is a
   // diagnostic, not an isolation domain.)
   KvBackend::CacheStats before = kv_->GetCacheStats();
-  StatusOr<QueryResult> result = RunQuery(*stream, spec);
+  StatusOr<QueryResult> result = RunQuery(stream, spec);
   if (result.ok() && result->trace != nullptr) {
     KvBackend::CacheStats after = kv_->GetCacheStats();
     result->trace->block_cache_hits = after.hits - before.hits;
@@ -340,21 +344,30 @@ StatusOr<QueryResult> SummaryStore::QueryAggregate(std::span<const StreamId> ids
   // the registry and stream locks itself; no lock is held while waiting on
   // the futures, so lifecycle writers can never deadlock against a fleet
   // query (a stream deleted mid-flight surfaces as its NotFound status).
+  // `exists[i]` records that stream i's lookup succeeded, so a NotFound
+  // from its query itself means only that it has no event in range.
+  std::vector<char> exists(ordered.size(), 0);
+  auto sub_query = [this, &spec, &ordered, &exists](size_t i) -> StatusOr<QueryResult> {
+    std::shared_lock<std::shared_mutex> registry(registry_mu_);
+    SS_ASSIGN_OR_RETURN(Stream * stream, FindStreamLocked(ordered[i]));
+    exists[i] = 1;
+    return QueryLocked(*stream, spec);
+  };
   std::vector<StatusOr<QueryResult>> results;
   results.reserve(ordered.size());
   ThreadPool* pool = ordered.size() > 1 ? FleetPool() : nullptr;
   if (pool == nullptr) {
-    for (StreamId id : ordered) {
-      results.push_back(Query(id, spec));
+    for (size_t i = 0; i < ordered.size(); ++i) {
+      results.push_back(sub_query(i));
     }
   } else {
     static Counter& fleet_tasks =
         MetricRegistry::Default().GetCounter("ss_core_fleet_tasks_total");
     std::vector<std::future<StatusOr<QueryResult>>> futures;
     futures.reserve(ordered.size());
-    for (StreamId id : ordered) {
+    for (size_t i = 0; i < ordered.size(); ++i) {
       fleet_tasks.Inc();
-      futures.push_back(pool->Submit([this, id, &spec] { return Query(id, spec); }));
+      futures.push_back(pool->Submit([&sub_query, i] { return sub_query(i); }));
     }
     for (auto& future : futures) {
       results.push_back(future.get());
@@ -371,7 +384,11 @@ StatusOr<QueryResult> SummaryStore::QueryAggregate(std::span<const StreamId> ids
     double ci_hi;
   };
   std::vector<Candidate> candidates;  // extremum path only
-  for (const StatusOr<QueryResult>& result : results) {
+  for (size_t i = 0; i < results.size(); ++i) {
+    const StatusOr<QueryResult>& result = results[i];
+    if (extremum && exists[i] && result.status().code() == StatusCode::kNotFound) {
+      continue;  // no event of this stream in range: no extremum to offer
+    }
     SS_RETURN_IF_ERROR(result.status());
     combined.windows_read += result->windows_read;
     combined.landmark_events += result->landmark_events;
@@ -400,6 +417,9 @@ StatusOr<QueryResult> SummaryStore::QueryAggregate(std::span<const StreamId> ids
       combined.ci_lo = std::max(0.0, combined.ci_lo);
     }
   } else {
+    if (candidates.empty()) {
+      return Status::NotFound("no data in query range");
+    }
     const bool is_min = spec.op == QueryOp::kMin;
     size_t win = 0;
     for (size_t i = 1; i < candidates.size(); ++i) {

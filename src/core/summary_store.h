@@ -95,10 +95,12 @@ class SummaryStore {
   // their CI half-widths combine in quadrature (streams are independent);
   // extrema take the min/max of the per-stream answers, with the combined
   // CI spanning every stream whose interval overlaps the winner's (any of
-  // them could hold the true extremum). Per-stream queries fan out on the
-  // worker pool (StoreOptions::fleet_query_threads) and merge in ascending
-  // stream-id order, so the result is deterministic for a given id set
-  // regardless of scheduling or the order ids were passed in.
+  // them could hold the true extremum). A stream with no event in range
+  // offers no extremum; the fleet answer is NotFound only when no stream
+  // has one, and an unknown stream id fails the query. Per-stream queries
+  // fan out on the worker pool (StoreOptions::fleet_query_threads) and
+  // merge in ascending stream-id order, so the result is deterministic for
+  // a given id set regardless of scheduling or the order ids were passed in.
   StatusOr<QueryResult> QueryAggregate(std::span<const StreamId> ids, const QuerySpec& spec);
 
   // --- maintenance ---------------------------------------------------------
@@ -138,6 +140,8 @@ class SummaryStore {
   // Callers must hold registry_mu_ (shared suffices for Find, exclusive for
   // Create); the returned pointer stays valid only while the lock is held.
   StatusOr<Stream*> FindStreamLocked(StreamId id);
+  // Query's body for a stream found under registry_mu_ (shared).
+  StatusOr<QueryResult> QueryLocked(Stream& stream, const QuerySpec& spec);
   Status CreateStreamWithIdLocked(StreamId id, StreamConfig config);
   Status PersistStreamList();
   // Lazily spawns the fleet-query pool; returns null when configured serial.

@@ -13,16 +13,19 @@
 
 namespace ss {
 
-// Query pipeline phases, in execution order. Each query attributes its
-// latency across these via QueryPhaseSpan; the breakdown lands both in the
-// per-phase histogram ss_core_query_phase_us{phase=...} and (when tracing)
-// in QueryTrace::phase_us.
+// Query pipeline phases. Each query attributes its latency across these via
+// QueryPhaseSpan; the breakdown lands both in the per-phase histogram
+// ss_core_query_phase_us{phase=...} and (when tracing) in
+// QueryTrace::phase_us. Every op runs them in one order: plan, window_scan,
+// sketch_merge, degrade, ci_combine (the range walk, ScanRange in
+// src/core/query.cc, opens all but plan).
 enum class QueryPhase : int {
   kPlan = 0,        // validation, stream lookup, landmark gate
   kWindowScan = 1,  // WindowsOverlapping: decayed-window walk + payload loads
-  kSketchMerge = 2, // merging per-window summaries / raw scans
-  kCiCombine = 3,   // interval arithmetic: CI combine + normal/binomial tails
-  kDegrade = 4,     // widening the CI over quarantined (missing) spans
+  kSketchMerge = 2, // the range walk: raw scans, summary merges, landmarks
+  kCiCombine = 3,   // the op's finish: interval arithmetic, including the
+                    // widening over quarantined (missing) spans
+  kDegrade = 4,     // gathering the missing spans the walk found
 };
 inline constexpr int kNumQueryPhases = 5;
 

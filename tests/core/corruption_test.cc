@@ -8,6 +8,7 @@
 // byte-flip matrix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/analytics/reconstruct.h"
 #include "src/common/serde.h"
 #include "src/core/keys.h"
 #include "src/core/query.h"
@@ -234,6 +236,43 @@ TEST(QueryDegradation, MeanAndQuantilePropagateDegradation) {
   EXPECT_GE(q_result->ci_hi, 3.5 - 1e-6);
   EXPECT_GE(q_result->estimate, q_result->ci_lo - 1e-9);
   EXPECT_LE(q_result->estimate, q_result->ci_hi + 1e-9);
+}
+
+TEST(QueryDegradation, ReconstructSamplesSkipsQuarantinedWindow) {
+  MemoryBackend kv;
+  StreamConfig config = TestConfig();
+  config.operators.reservoir = true;
+  Stream stream(1, config, &kv);
+  for (uint64_t i = 0; i < 2000; ++i) {
+    Event e = TestEvent(i);
+    ASSERT_TRUE(stream.Append(e.ts, e.value).ok());
+  }
+  ASSERT_TRUE(stream.EvictAllWindows().ok());
+  auto entries = WindowEntries(kv, 1);
+  ASSERT_GE(entries.size(), 3u);
+  const auto& [key, orig] = entries[entries.size() / 2];
+  std::string bad = orig;
+  bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x40);
+  ASSERT_TRUE(kv.Put(key, bad).ok());
+
+  // Reconstruction is the first reader of the corrupt window: it must
+  // quarantine it and answer from the surviving windows.
+  auto samples = ReconstructSamples(stream, TestEvent(0).ts, TestEvent(1999).ts);
+  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+  EXPECT_EQ(stream.quarantined_window_count(), 1u);
+  ASSERT_FALSE(samples->empty());
+  EXPECT_TRUE(std::is_sorted(samples->begin(), samples->end(),
+                             [](const Event& a, const Event& b) { return a.ts < b.ts; }));
+  QuerySpec count{.t1 = TestEvent(0).ts, .t2 = TestEvent(1999).ts, .op = QueryOp::kCount};
+  auto counted = RunQuery(stream, count);
+  ASSERT_TRUE(counted.ok());
+  ASSERT_EQ(counted->skipped_spans.size(), 1u);
+  auto [lost_lo, lost_hi] = counted->skipped_spans.front();
+  for (const Event& sample : *samples) {
+    // Every sample is a real event, and none comes from the lost span.
+    EXPECT_EQ(sample.value, TestEvent(static_cast<uint64_t>(sample.ts / 10)).value);
+    EXPECT_TRUE(sample.ts < lost_lo || sample.ts > lost_hi) << "sample at " << sample.ts;
+  }
 }
 
 // The matrix: flip one byte at every payload offset class of several

@@ -100,6 +100,31 @@ TEST(SummaryStoreApi, QueryAggregateAcrossStreams) {
   EXPECT_LE(partial_result->ci_lo, 453.0);
   EXPECT_GE(partial_result->ci_hi, 453.0);
 
+  // A stream with no event in range contributes nothing to a fleet extremum
+  // (stream A holds t = 1..100, the fleet streams t = 1..400).
+  auto short_id = (*store)->CreateStream(SmallConfig());
+  ASSERT_TRUE(short_id.ok());
+  for (int t = 1; t <= 100; ++t) {
+    ASSERT_TRUE((*store)->Append(*short_id, t, 10.0).ok());
+  }
+  std::vector<StreamId> mixed = {*short_id, ids[0], ids[1]};
+  QuerySpec late_max{.t1 = 200, .t2 = 400, .op = QueryOp::kMax};
+  auto late = (*store)->QueryAggregate(mixed, late_max);
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_DOUBLE_EQ(late->estimate, 2.0);
+  QuerySpec late_min = late_max;
+  late_min.op = QueryOp::kMin;
+  auto late_min_result = (*store)->QueryAggregate(mixed, late_min);
+  ASSERT_TRUE(late_min_result.ok()) << late_min_result.status().ToString();
+  EXPECT_DOUBLE_EQ(late_min_result->estimate, 1.0);
+  // NOT_FOUND only when no stream has an event in range.
+  QuerySpec empty_max{.t1 = 1000, .t2 = 2000, .op = QueryOp::kMax};
+  EXPECT_EQ((*store)->QueryAggregate(mixed, empty_max).status().code(), StatusCode::kNotFound);
+  // An unknown stream id still fails the fleet query.
+  std::vector<StreamId> with_unknown = {ids[0], 9999};
+  EXPECT_EQ((*store)->QueryAggregate(with_unknown, late_max).status().code(),
+            StatusCode::kNotFound);
+
   // Unsupported ops and empty stream lists are rejected.
   QuerySpec mean{.t1 = 1, .t2 = 400, .op = QueryOp::kMean};
   EXPECT_EQ((*store)->QueryAggregate(ids, mean).status().code(),

@@ -100,12 +100,13 @@ TEST_F(TraceFixture, EvictedWindowsCountAsMissesWithBytes) {
   EXPECT_EQ(again.value().trace->bytes_fetched, 0u);
 }
 
-TEST_F(TraceFixture, MeanWalksTheWindowsTwice) {
+TEST_F(TraceFixture, MeanWalksTheWindowsOnce) {
+  // Mean folds count and sum from one walk.
   auto result = TracedQuery(QueryOp::kMean, 1, 500);
   ASSERT_TRUE(result.ok());
   ASSERT_NE(result->trace, nullptr);
   EXPECT_EQ(result->trace->op, "mean");
-  EXPECT_EQ(result->trace->windows_scanned, 2 * WindowCount());
+  EXPECT_EQ(result->trace->windows_scanned, WindowCount());
 }
 
 TEST_F(TraceFixture, NarrowRangeScansFewerWindows) {

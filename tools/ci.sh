@@ -36,20 +36,23 @@ cmake --build "${prefix}" -j"$(nproc)"
 ctest --test-dir "${prefix}" --output-on-failure -j"$(nproc)"
 
 san_dir="${prefix}-asan"
-echo "=== sanitizers: ASan+UBSan build of obs + storage + net tests (${san_dir}) ==="
+echo "=== sanitizers: ASan+UBSan build of obs + storage + query + net tests (${san_dir}) ==="
 cmake -B "${san_dir}" -S . -DCMAKE_BUILD_TYPE=Debug -DSS_SANITIZE=address,undefined
 cmake --build "${san_dir}" -j"$(nproc)" --target \
   metrics_test trace_test flight_recorder_test \
   wal_test sstable_test lsm_store_test group_commit_test crash_recovery_test \
   lsm_concurrency_test fault_fs_test fault_injection_test \
-  corruption_test serde_fuzz_test frame_fuzz_test kernels_test spacesaving_test \
-  net_server_test tenant_test net_fault_test
+  corruption_test query_test outlier_test serde_fuzz_test frame_fuzz_test kernels_test \
+  spacesaving_test net_server_test tenant_test net_fault_test
 # net_fault_test severs every frame boundary of its workload with FaultNet —
-# reconnect/replay buffer churn is exactly what ASan should watch.
+# reconnect/replay buffer churn is exactly what ASan should watch. query_test
+# runs every op through the range walk (and pins its answers bit for bit);
+# outlier_test drives sample reconstruction.
 for t in metrics_test trace_test flight_recorder_test wal_test sstable_test \
          lsm_store_test group_commit_test crash_recovery_test lsm_concurrency_test \
-         fault_fs_test corruption_test serde_fuzz_test frame_fuzz_test \
-         kernels_test spacesaving_test net_server_test tenant_test net_fault_test; do
+         fault_fs_test corruption_test query_test outlier_test serde_fuzz_test \
+         frame_fuzz_test kernels_test spacesaving_test net_server_test tenant_test \
+         net_fault_test; do
   echo "--- ${t} (asan+ubsan)"
   if [ "${t}" = crash_recovery_test ]; then
     # Simulates hard kills by deliberately leaking un-flushed stores; leak
